@@ -183,21 +183,13 @@ func measureBest(reps int, jobs []job, scale int, passes []*pass) error {
 	return nil
 }
 
-// overheadOf prices pass a against baseline b, combining two estimators
-// that machine noise contaminates in different ways.  Noise on a shared
-// host is one-sided — it only ever adds time — so each estimator bounds
-// the true ratio from above and the smaller is the better estimate:
-//
-//   - The median per-round ratio.  The two passes run seconds apart
-//     within a round, so a round's ratio cancels slow load drift, the
-//     ABBA ordering (see measureBest) cancels positional bias, and the
-//     median discards rounds a burst split — but a burst spanning
-//     several rounds still drags the median up.
-//
-//   - The ratio of the fastest reps.  Each pass's minimum over all
-//     rounds is its least-contaminated measurement — but the two minima
-//     may come from rounds minutes apart, so a burst covering every rep
-//     of one pass skews this one instead.
+// overheadOf prices pass a against baseline b as the median per-round
+// ratio of their walls.  The two passes run seconds apart within a
+// round, so a round's ratio cancels slow load drift, the ABBA ordering
+// (see measureBest) cancels positional bias, and the median discards
+// rounds a burst split.  A burst spanning several rounds still drags
+// the median up; the estimator reports that rather than picking the
+// more favourable of two estimates.
 func overheadOf(a, b *pass) float64 {
 	ratios := make([]float64, len(a.runs))
 	for i := range a.runs {
@@ -208,11 +200,10 @@ func overheadOf(a, b *pass) float64 {
 	if n == 0 {
 		return 0
 	}
-	median := ratios[n/2]
 	if n%2 == 0 {
-		median = (ratios[n/2-1] + ratios[n/2]) / 2
+		return (ratios[n/2-1] + ratios[n/2]) / 2
 	}
-	return min(median, a.best.WallSeconds/b.best.WallSeconds)
+	return ratios[n/2]
 }
 
 func (ps *pass) measure(jobs []job, scale int) (engineResult, error) {

@@ -7,14 +7,6 @@ import (
 	"testing"
 )
 
-// TestOptimizedVsReferenceDifferential cross-checks the engine's default
-// hot path (typed events on the calendar queue, pooled blocks, cached
-// decode metadata) against the reference slow path (Options.Reference:
-// container/heap queue, fresh block and metadata per fetch).  The two
-// paths must produce bit-identical simulations — same cycle count, same
-// statistics, same architectural state — on every kernel and composition
-// size; any divergence is a bug in the optimizations, not a modeling
-// choice.
 // TestParallelDomainsVsReferenceDifferential sweeps the domain engine's
 // concurrency knobs — ParallelDomains in {1, 2, 8} crossed with
 // GOMAXPROCS in {1, 4} — and checks every combination against the
@@ -130,18 +122,28 @@ func TestMultiprogramDomainModesIdentical(t *testing.T) {
 	}
 }
 
+// TestOptimizedVsReferenceDifferential cross-checks the engine's default
+// hot path (typed events on the calendar queue, pooled blocks, cached
+// decode metadata) against the reference slow path (Options.Reference:
+// container/heap queue, fresh block and metadata per fetch).  The two
+// paths must produce bit-identical simulations — same cycle count, same
+// statistics, same architectural state — on every kernel and composition
+// size; any divergence is a bug in the optimizations, not a modeling
+// choice.  Both sample every 64 cycles, a multiple of the domain
+// engine's 16-cycle window, where its boundary-taken sampler rows must
+// equal the reference loop's per-event ones.
 func TestOptimizedVsReferenceDifferential(t *testing.T) {
 	kernels := []string{"conv", "autcor", "dither", "tblook", "mcf"}
 	for _, name := range kernels {
 		for _, cores := range []int{1, 2, 4} {
 			t.Run(fmt.Sprintf("%s/%dc", name, cores), func(t *testing.T) {
-				fast, err := RunKernel(name, 1, RunConfig{Cores: cores})
+				fast, err := RunKernel(name, 1, RunConfig{Cores: cores, SampleEvery: 64})
 				if err != nil {
 					t.Fatalf("optimized run: %v", err)
 				}
 				refOpts := DefaultOptions()
 				refOpts.Reference = true
-				ref, err := RunKernel(name, 1, RunConfig{Cores: cores, Options: &refOpts})
+				ref, err := RunKernel(name, 1, RunConfig{Cores: cores, Options: &refOpts, SampleEvery: 64})
 				if err != nil {
 					t.Fatalf("reference run: %v", err)
 				}
@@ -153,6 +155,9 @@ func TestOptimizedVsReferenceDifferential(t *testing.T) {
 				}
 				if fast.Regs != ref.Regs {
 					t.Errorf("architectural registers diverge")
+				}
+				if fs, rs := fast.Samples.Series(), ref.Samples.Series(); len(fs) == 0 || !reflect.DeepEqual(fs, rs) {
+					t.Errorf("sampler series diverge:\noptimized %+v\nreference %+v", fs, rs)
 				}
 			})
 		}

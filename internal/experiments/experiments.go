@@ -292,9 +292,7 @@ func (s *Suite) recordDomains(ds []flight.DomainStats) {
 
 // Parallel renders the suite's parallel-efficiency line: how well the
 // job pool filled the machine (in-job time over wall time) and what the
-// event-domain schedulers did underneath.  Single-domain chips run the
-// exact serial engine and open no lockstep windows, so the domain half
-// degrades to a chip count when no windows were crossed.
+// event-domain schedulers did underneath.
 func (s *Suite) Parallel() string {
 	es := s.engine.Summary()
 	s.domMu.Lock()
@@ -310,8 +308,6 @@ func (s *Suite) Parallel() string {
 	if a.windows > 0 {
 		line += fmt.Sprintf("; domains: %d across %d chips, %d lockstep windows, avg barrier slack %.1f cycles/window, shared grants %d (waits %d)",
 			a.domains, a.chips, a.windows, float64(a.barrierWait)/float64(a.windows), a.sharedGrants, a.sharedWait)
-	} else {
-		line += fmt.Sprintf("; domains: %d single-domain chips (serial engine, no lockstep windows)", a.chips)
 	}
 	return line
 }

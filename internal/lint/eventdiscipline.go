@@ -51,7 +51,7 @@ var queueTypes = map[string]bool{"calQueue": true, "eventQueue": true, "minEvHea
 var pushMethods = map[string]bool{"push": true, "Push": true}
 
 // popMethods remove or cursor-advance: any owner method (drain loops).
-var popMethods = map[string]bool{"popMin": true, "pop": true, "Pop": true, "nextAt": true}
+var popMethods = map[string]bool{"popMin": true, "popBefore": true, "pop": true, "Pop": true, "nextAt": true}
 
 func runEventDiscipline(m *Module, pkg *Package, report ReportFunc) {
 	if !inScope(pkg.RelPath, eventDisciplineScope) {

@@ -52,9 +52,9 @@ type Chip struct {
 	onHalt func(*Proc) //lint:owner shared
 
 	// Telemetry (see telemetry.go): all nil/disarmed by default.  The
-	// event loop pays one uint64 compare per event against sampleAt
-	// (+inf when no sampler is armed); everything else is reached only
-	// through nil-safe calls.
+	// reference loop pays one uint64 compare per event against sampleAt
+	// (+inf when no sampler is armed), the domain engine one per window;
+	// everything else is reached only through nil-safe calls.
 	tel      *telemetry.Registry
 	trace    *telemetry.Trace
 	sampler  *telemetry.Sampler
@@ -95,8 +95,15 @@ func New(opts Options) *Chip {
 	return c
 }
 
-// Now returns the current simulation cycle.
-func (c *Chip) Now() uint64 { return c.now }
+// Now returns the current simulation cycle: inside an event (an
+// OnProcHalt hook, say) the cycle of the domain executing it, in every
+// engine mode.
+func (c *Chip) Now() uint64 {
+	if d := c.curDom; d != nil {
+		return d.now
+	}
+	return c.now
+}
 
 // schedule enqueues an arbitrary callback (the cold control paths).
 func (c *Chip) schedule(at uint64, fn func()) {
@@ -227,9 +234,10 @@ func (c *Chip) AddProc(cores compose.Processor, program *prog.Program) (*Proc, e
 
 // launch readies a composed processor.  Under Reference it starts
 // fetching immediately in the global queue; the optimized engine defers
-// it to the next quiescent point (Run entry, or the next window boundary
-// when composed mid-run by an OnProcHalt scheduler), where domains are
-// re-formed around its footprint.
+// it to the next quiescent point — Run entry, or, when an OnProcHalt
+// scheduler composes it mid-run, the boundary closing the current
+// window, whatever the chip's domain count or ParallelDomains — where
+// domains are re-formed around its footprint.
 func (c *Chip) launch(pr *Proc) {
 	pr.prepareStart()
 	if c.Opts.Reference {
@@ -257,8 +265,8 @@ func (c *Chip) AddProcShared(cores compose.Processor, program *prog.Program, fro
 
 // Run executes events until every processor halts, the cycle limit is
 // exceeded, or the model faults.  The optimized engine runs the
-// partitioned domain loop (domain.go); Options.Reference runs the
-// original single-queue loop in run.  With the flight recorder armed
+// windowed domain loop (domain.go) on every chip; Options.Reference runs
+// the original single-queue loop in run.  With the flight recorder armed
 // (EnableFlight) and a sink set (SetFlightSink), a panicking or
 // failing run writes a post-mortem text dump of every ring on the way
 // out — the panic is re-raised unchanged.  The recover wrapper covers
@@ -286,23 +294,24 @@ func (c *Chip) run(maxCycles uint64) error {
 	if !c.Opts.Reference {
 		return c.runOptimized(maxCycles)
 	}
-	for {
-		if c.err != nil {
-			return c.err
-		}
-		if c.ref.empty() {
-			break
-		}
+	for c.err == nil && !c.ref.empty() {
 		e := c.ref.popMin()
 		if e.at > maxCycles {
 			return c.exceededErr(maxCycles)
 		}
 		c.now = e.at
 		if c.now >= c.sampleAt {
-			c.takeSamples()
+			c.takeSamples(c.now)
 		}
 		c.dispatch(&e, c.now)
 	}
+	return c.finishRun()
+}
+
+// finishRun is the end-of-run step both engines share: a fault wins,
+// a processor that never halted is a deadlock, and a clean run hands
+// its critical-path records back to the pool.
+func (c *Chip) finishRun() error {
 	if c.err != nil {
 		return c.err
 	}

@@ -18,12 +18,14 @@ import (
 // — its processors' windows, LSQ banks, L1s, issue rings and the mesh
 // links inside its routing closure — is reachable from no other domain,
 // so domains advance independently inside lockstep windows of W cycles
-// ([kW, (k+1)W), W = Options.DomainWindow) and synchronize at every
-// boundary.  The only state domains share is the L2/DRAM side; every
-// access to it is serialized in the global merged event order (at,
-// domainID, seq) — inline when domains run on one goroutine, through
-// the window arbiter (parallel.go) when they run on many — so results
-// are bit-identical for every ParallelDomains setting and GOMAXPROCS.
+// ([kW, (k+1)W), W = domainWindow) and synchronize at every boundary.
+// Every chip runs in windows, however many domains it forms: on the
+// caller's goroutine (runMerged) or on a worker pool (runParallel).  The
+// only state domains share is the L2/DRAM side; every access to it is
+// serialized in the global merged event order (at, domainID, seq) —
+// inline on one goroutine, through the window arbiter (parallel.go) on
+// many — so results are bit-identical for every ParallelDomains setting
+// and GOMAXPROCS.
 //
 // Domain formation.  Processors are grouped by the closure of two
 // relations: sharing an architectural memory (AddProcShared — directory
@@ -43,6 +45,21 @@ import (
 // domain's inbox and applied at the next window boundary — an
 // invalidate message spending up to W cycles crossing the chip.  The
 // deferral is identical in every mode, so it never breaks mode parity.
+
+// domainWindow is the lockstep window width W in cycles, a model
+// parameter: deferred cross-domain coherence traffic (L2 eviction
+// invalidations) and processors composed mid-run both wait for the next
+// boundary.  16 cycles approximates the banked-L2 round trip an
+// invalidate needs to reach a remote core (L2 hit latency spans 5..27
+// cycles).
+const domainWindow = 16
+
+// stallEvents is the stall-watchdog budget: the number of events one
+// domain may execute inside one window before the run fails with a
+// diagnostic instead of hanging.  It counts events, not wall time, so a
+// trip is deterministic like everything else in the engine, and sits
+// orders of magnitude above what any legal window executes.
+const stallEvents = 1 << 20
 
 // domain is one event partition.
 type domain struct {
@@ -133,46 +150,58 @@ func (d *domain) fail(format string, args ...any) {
 	}
 }
 
-// runWindow executes this domain's events with at < limit, in (at, seq)
-// order.  It is the per-worker body of a parallel window and never
-// touches another domain's state; shared-resource accesses inside
-// dispatched events park on the window arbiter.
+// runWindow is the per-worker body of a parallel window: it executes
+// this domain's events below limit.  It never touches another domain's
+// state; shared-resource accesses inside dispatched events park on the
+// window arbiter.
 //
 //lint:owner worker
 func (d *domain) runWindow(limit uint64) { //lint:hot root
-	c := d.chip
-	stall := c.Opts.stallEvents()
+	d.openWindow(limit)
+	d.runTo(limit)
+	d.closeWindow(limit)
+}
+
+// openWindow and closeWindow bracket one lockstep window of the domain:
+// its event count and the window's flight records.
+func (d *domain) openWindow(limit uint64) {
+	d.winEvents = 0
 	d.flight.Add(flight.KWindowOpen, d.now, -1, -1, limit, 0)
-	var n uint64
+}
+
+func (d *domain) closeWindow(limit uint64) {
+	d.events += d.winEvents
+	d.flight.Add(flight.KWindowClose, d.now, -1, -1, limit, d.winEvents)
+}
+
+// runTo executes this domain's events with at < bound in (at, seq)
+// order, stopping early at the domain's first fault or a watchdog trip.
+func (d *domain) runTo(bound uint64) {
 	for d.err == nil {
-		at, ok := d.cal.nextAt()
-		if !ok || at >= limit {
-			break
+		e, ok := d.cal.popBefore(bound)
+		if !ok {
+			return
 		}
-		e := d.cal.popMin()
 		d.now = e.at
-		n++
-		if n >= stall {
-			d.stall(n, limit)
-			break
+		d.winEvents++
+		if d.winEvents >= stallEvents {
+			d.stall(bound)
+			return
 		}
-		c.dispatch(&e, e.at)
+		d.chip.dispatch(&e, e.at)
 	}
-	d.winEvents = n
-	d.events += n
-	d.flight.Add(flight.KWindowClose, d.now, -1, -1, limit, n)
 }
 
 // stall fails the run with the watchdog diagnostic: the domain executed
-// count events without its window (or cycle) advancing.  The engine
-// stops at the next synchronization point instead of hanging; the
-// flight rings (when armed) keep the event history leading up to the
-// stall, and Chip.Run writes a post-mortem text dump to the flight
-// sink on the way out.
-func (d *domain) stall(count, limit uint64) {
-	d.flight.Add(flight.KStall, d.now, -1, -1, limit, count)
+// stallEvents events without its window closing.  The engine stops at
+// the next synchronization point instead of hanging; the flight rings
+// (when armed) keep the event history leading up to the stall, and
+// Chip.Run writes a post-mortem text dump to the flight sink on the way
+// out.
+func (d *domain) stall(bound uint64) {
+	d.flight.Add(flight.KStall, d.now, -1, -1, bound, d.winEvents)
 	d.fail("stall watchdog: domain %d executed %d events without advancing past cycle %d (limit %d events; flight rings dumped)",
-		d.id, count, d.now, d.chip.Opts.stallEvents())
+		d.id, d.winEvents, d.now, uint64(stallEvents))
 }
 
 // emptyBox is the bounding-box sentinel for a domain with no cores.
@@ -501,7 +530,6 @@ func (c *Chip) drainShadows() {
 // placed and begin fetching at the boundary cycle.  Identical in merged
 // and parallel modes — mode parity depends on it.
 func (c *Chip) windowBoundary(boundaryCycle uint64) {
-	w := c.Opts.domainWindow()
 	for _, d := range c.domains {
 		// Barrier accounting: the end-of-window slack (cycles between the
 		// domain's last executed event and the boundary, clamped to the
@@ -511,8 +539,8 @@ func (c *Chip) windowBoundary(boundaryCycle uint64) {
 		slack := uint64(0)
 		if d.now < boundaryCycle {
 			slack = boundaryCycle - d.now
-			if slack > w {
-				slack = w
+			if slack > domainWindow {
+				slack = domainWindow
 			}
 		}
 		d.barrierWait += slack
@@ -530,13 +558,42 @@ func (c *Chip) windowBoundary(boundaryCycle uint64) {
 // containing cycle m: the next multiple of W above m, capped so no
 // event beyond maxCycles ever executes (keeping the exceeded-cycles
 // state identical across modes).
-func (c *Chip) windowLimitFor(m, maxCycles uint64) uint64 {
-	w := c.Opts.domainWindow()
-	limit := (m/w + 1) * w
+func windowLimitFor(m, maxCycles uint64) uint64 {
+	limit := (m/domainWindow + 1) * domainWindow
 	if maxCycles != ^uint64(0) && limit > maxCycles+1 {
 		limit = maxCycles + 1
 	}
 	return limit
+}
+
+// nextWindow is the step between lockstep windows, shared by the serial
+// and parallel loops so both see the same window sequence — mode parity
+// lives here.  With every domain quiescent it promotes the globally
+// first fault, runs the boundary of the window that closed at prev (0
+// before the first window), takes the samples due before the next event
+// and returns the exclusive limit of the next window.  ok is false when
+// the run is over: a fault, every queue drained, or the cycle limit
+// exceeded (c.err says which).
+func (c *Chip) nextWindow(prev, maxCycles uint64) (limit uint64, ok bool) {
+	c.syncNow()
+	c.collectErrors()
+	if c.err != nil {
+		return 0, false
+	}
+	if prev > 0 {
+		c.windowBoundary(prev)
+	}
+	m, ok := c.minNextAt()
+	if !ok {
+		c.takeSamples(c.now)
+		return 0, false
+	}
+	c.takeSamples(m)
+	if m > maxCycles {
+		c.err = c.exceededErr(maxCycles)
+		return 0, false
+	}
+	return windowLimitFor(m, maxCycles), true
 }
 
 //lint:hot cold run-termination error construction
@@ -544,172 +601,73 @@ func (c *Chip) exceededErr(maxCycles uint64) error {
 	return fmt.Errorf("sim: exceeded %d cycles (running: %s)", maxCycles, c.runningProcs())
 }
 
-// takeBoundarySamples records sampler rows due at or before the next
-// event cycle m.  Multi-domain sampling is boundary-granular: a row at
-// cycle s reflects every event before the boundary that emitted it.
-func (c *Chip) takeBoundarySamples(m uint64) {
-	if c.sampler == nil {
-		return
-	}
-	iv := c.sampler.Interval()
-	for c.sampleAt <= m {
-		c.sampler.Sample(c.sampleAt)
-		c.sampleAt += iv
-	}
-}
-
-// runSingle is the single-domain fast path: the exact serial event loop
-// (per-event sampling and cycle-limit checks), byte-identical to the
-// pre-partitioning engine and to Options.Reference.  Returns when the
-// queue drains, a fault lands, or a composition event requires
-// re-forming domains.
-//
-//lint:hot root
-func (c *Chip) runSingle(d *domain, maxCycles uint64) {
-	c.curDom = d
-	stall := c.Opts.stallEvents()
-	watchAt, watchN := ^uint64(0), uint64(0)
-	for c.err == nil && d.err == nil {
-		if d.cal.empty() {
-			break
-		}
-		e := d.cal.popMin()
-		if e.at > maxCycles {
-			c.err = c.exceededErr(maxCycles)
-			break
-		}
-		c.now = e.at
-		d.now = e.at
-		d.events++
-		// Stall watchdog, cycle-granular here (no windows): too many
-		// events without the clock advancing fails the run.
-		if e.at != watchAt {
-			watchAt, watchN = e.at, 0
-		}
-		watchN++
-		if watchN >= stall {
-			d.stall(watchN, e.at)
-			break
-		}
-		if c.now >= c.sampleAt {
-			c.takeSamples()
-		}
-		c.dispatch(&e, e.at)
-		if len(c.pendingProcs) > 0 {
-			break
-		}
-	}
-	if c.err == nil && d.err != nil {
-		c.err = d.err
-	}
-	c.curDom = nil
-}
-
-// runMerged advances every domain on the caller's goroutine in merged
-// (at, domainID, seq) order, window by window.  This is ParallelDomains
-// <= 1: the same partitioned engine minus the worker pool, and the
-// ordering contract the parallel arbiter reproduces.
+// runMerged advances every domain on the caller's goroutine, window by
+// window, in the merged (at, domainID, seq) order — the ordering
+// contract the parallel arbiter reproduces.  A chip that forms one
+// domain runs here too: each of its windows is a single nextRun.
 //
 //lint:hot root
 func (c *Chip) runMerged(maxCycles uint64) {
-	for {
-		c.collectErrors()
-		if c.err != nil {
-			return
-		}
-		m, ok := c.minNextAt()
-		if !ok {
-			c.syncNow()
-			c.takeBoundarySamples(c.now)
-			return
-		}
-		c.takeBoundarySamples(m)
-		if m > maxCycles {
-			c.syncNow()
-			c.err = c.exceededErr(maxCycles)
-			return
-		}
-		limit := c.windowLimitFor(m, maxCycles)
-		stall := c.Opts.stallEvents()
+	for limit, ok := c.nextWindow(0, maxCycles); ok; limit, ok = c.nextWindow(limit, maxCycles) {
 		for _, d := range c.domains {
-			d.winEvents = 0
-			d.flight.Add(flight.KWindowOpen, d.now, -1, -1, limit, 0)
+			d.openWindow(limit)
 		}
-		for c.err == nil {
-			var best *domain
-			var bat uint64
-			for _, d := range c.domains {
-				if d.err != nil {
-					best = nil
-					break
-				}
-				if at, ok := d.cal.nextAt(); ok && at < limit && (best == nil || at < bat) {
-					best, bat = d, at
-				}
-			}
-			if best == nil {
-				break
-			}
-			e := best.cal.popMin()
-			best.now = e.at
-			c.now = e.at
-			best.winEvents++
-			if best.winEvents >= stall {
-				best.stall(best.winEvents, limit)
-				break
-			}
-			c.curDom = best
-			c.dispatch(&e, e.at)
+		for d, bound := c.nextRun(limit); d != nil; d, bound = c.nextRun(limit) {
+			c.curDom = d
+			d.runTo(bound)
 		}
 		c.curDom = nil
 		for _, d := range c.domains {
-			d.events += d.winEvents
-			d.flight.Add(flight.KWindowClose, d.now, -1, -1, limit, d.winEvents)
+			d.closeWindow(limit)
 		}
-		c.collectErrors()
-		if c.err != nil {
-			return
-		}
-		c.windowBoundary(limit)
 	}
 }
 
-// runOptimized is the domain-engine driver: it forms domains from the
-// composed processors, picks the execution mode (single-domain fast
-// path, merged serial windows, or the parallel worker pool) and runs to
-// completion, re-evaluating the mode whenever the composition changes.
-func (c *Chip) runOptimized(maxCycles uint64) error {
-	c.placePending(c.now)
-	for c.err == nil {
-		if len(c.pendingProcs) > 0 {
-			c.placePending(c.now)
+// nextRun picks the domain whose earliest event below limit comes first
+// in the merged (at, domainID, seq) order, and the bound up to which it
+// may run alone: domains interact only through the shared L2/DRAM side,
+// which that order serializes, so the chosen domain executes every event
+// until another domain's head takes precedence (ties go to the lower
+// domain ID).  It returns nil when no event is due before limit or a
+// domain has faulted.
+func (c *Chip) nextRun(limit uint64) (*domain, uint64) {
+	var best *domain
+	var bat uint64
+	for _, d := range c.domains {
+		if d.err != nil {
+			return nil, 0
+		}
+		if at, ok := d.cal.nextAt(); ok && at < limit && (best == nil || at < bat) {
+			best, bat = d, at
+		}
+	}
+	if best == nil {
+		return nil, 0
+	}
+	bound := limit
+	for _, d := range c.domains {
+		at, ok := d.cal.nextAt()
+		if !ok || d == best {
 			continue
 		}
-		if len(c.domains) == 1 {
-			c.runSingle(c.domains[0], maxCycles)
-			if c.err == nil && len(c.pendingProcs) > 0 {
-				continue
-			}
-			break
+		if d.id > best.id {
+			at++
 		}
-		if c.Opts.ParallelDomains > 1 && len(c.domains) > 1 {
-			c.runParallel(maxCycles)
-		} else {
-			c.runMerged(maxCycles)
-		}
-		break
+		bound = min(bound, at)
 	}
-	c.syncNow()
-	if c.err != nil {
-		return c.err
+	return best, bound
+}
+
+// runOptimized is the domain-engine driver: it forms domains from the
+// composed processors and runs them in lockstep windows to completion —
+// on the worker pool when ParallelDomains > 1 and the chip forms more
+// than one domain, on the caller's goroutine otherwise.
+func (c *Chip) runOptimized(maxCycles uint64) error {
+	c.placePending(c.now)
+	if c.Opts.ParallelDomains > 1 && len(c.domains) > 1 {
+		c.runParallel(maxCycles)
+	} else {
+		c.runMerged(maxCycles)
 	}
-	for _, p := range c.Procs {
-		if !p.halted {
-			return fmt.Errorf("sim: deadlock: processor %d stalled at cycle %d (%s)", p.id, c.now, p.describeStall())
-		}
-	}
-	if c.critEnabled {
-		c.releaseCritRecords()
-	}
-	return nil
+	return c.finishRun()
 }

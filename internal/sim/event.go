@@ -104,7 +104,7 @@ func (q *calQueue) empty() bool { return q.nbucket == 0 && len(q.overflow) == 0 
 
 // push files an event.  Schedule times are clamped to the domain's now,
 // which the cursor normally never passes; the one exception is a cursor
-// that jumped ahead over an idle gap (nextAt) before new work arrived
+// that jumped ahead over an idle gap (seek) before new work arrived
 // from a window boundary, which rewinds first.
 func (q *calQueue) push(e event) {
 	if e.at < q.base {
@@ -123,58 +123,58 @@ func (q *calQueue) push(e event) {
 	}
 }
 
-// popMin removes and returns the earliest event in (at, seq) order.
+// popMin removes and returns the earliest event; the queue must not be
+// empty.
+func (q *calQueue) popMin() event {
+	e, _ := q.popBefore(^uint64(0))
+	return e
+}
+
+// popBefore removes and returns the earliest event in (at, seq) order
+// when its cycle is below limit; ok is false when the queue is empty or
+// its earliest event lies at or beyond limit.  It is the drain loops'
+// single queue call per event.
 //
 // Ordering argument: a bucket only ever holds events for one cycle at a
 // time (the window is exactly calBuckets wide), and all pushes for a given
 // cycle T arrive in seq order — overflow events for T are migrated, in seq
-// order, at the top of the pop that first makes T reachable, which is
-// before any event executes and directly pushes more work for T.
-func (q *calQueue) popMin() event {
-	for {
-		// Pull due overflow events into the calendar window.
-		for len(q.overflow) > 0 && q.overflow[0].at < q.base+calBuckets {
-			e := q.overflow.pop()
-			i := e.at & calMask
-			bkt := q.buckets[i]
-			if cap(bkt) == 0 {
-				bkt = make([]event, 0, calBucketCap)
-			}
-			q.buckets[i] = append(bkt, e)
-			q.nbucket++
-		}
-		i := q.base & calMask
-		if int(q.heads[i]) < len(q.buckets[i]) {
-			e := q.buckets[i][q.heads[i]]
-			q.heads[i]++
-			q.nbucket--
-			if int(q.heads[i]) == len(q.buckets[i]) {
-				q.buckets[i] = q.buckets[i][:0]
-				q.heads[i] = 0
-			}
-			return e
-		}
+// order, by the seek that first makes T reachable, which is before any
+// event executes and directly pushes more work for T.
+func (q *calQueue) popBefore(limit uint64) (e event, ok bool) {
+	if !q.seek() || q.base >= limit {
+		return event{}, false
+	}
+	i := q.base & calMask
+	e = q.buckets[i][q.heads[i]]
+	q.heads[i]++
+	q.nbucket--
+	if int(q.heads[i]) == len(q.buckets[i]) {
 		q.buckets[i] = q.buckets[i][:0]
 		q.heads[i] = 0
-		if q.nbucket == 0 && len(q.overflow) > 0 {
-			q.base = q.overflow[0].at // jump over the idle gap
-		} else {
-			q.base++
-		}
 	}
+	return e, true
 }
 
 // nextAt returns the cycle of the earliest pending event without
-// removing it; ok is false when the queue is empty.  The scan advances
-// the cursor over empty ground (pure bookkeeping — ordering is
-// unaffected), so a subsequent popMin finds the event immediately and
-// repeated peeks never rescan the same gap.
+// removing it; ok is false when the queue is empty.
 func (q *calQueue) nextAt() (at uint64, ok bool) {
-	if q.nbucket == 0 && len(q.overflow) == 0 {
+	if !q.seek() {
 		return 0, false
 	}
+	return q.base, true
+}
+
+// seek moves the cursor to the bucket of the earliest pending event,
+// pulling due overflow events into the calendar window on the way; it
+// reports false when the queue is empty.  Advancing over empty ground is
+// pure bookkeeping (ordering is unaffected), so repeated seeks never
+// rescan the same gap.  On success every event in the cursor bucket sits
+// at q.base: a bucket holds events for exactly one cycle.
+func (q *calQueue) seek() bool {
+	if q.empty() {
+		return false
+	}
 	for {
-		// Pull due overflow events into the calendar window.
 		for len(q.overflow) > 0 && q.overflow[0].at < q.base+calBuckets {
 			e := q.overflow.pop()
 			i := e.at & calMask
@@ -187,9 +187,7 @@ func (q *calQueue) nextAt() (at uint64, ok bool) {
 		}
 		i := q.base & calMask
 		if int(q.heads[i]) < len(q.buckets[i]) {
-			// A bucket holds events for exactly one cycle (the window is
-			// calBuckets wide), so every resident event sits at q.base.
-			return q.base, true
+			return true
 		}
 		q.buckets[i] = q.buckets[i][:0]
 		q.heads[i] = 0

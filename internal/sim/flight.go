@@ -40,7 +40,7 @@ func (c *Chip) SetFlightSink(w io.Writer) { c.flightSink = w }
 // FlightDump snapshots every ring, including rings of domains merged
 // away.  Returns nil when the recorder is disabled.  Call only from a
 // quiescent point: after Run returns, or inside a sampler notify hook
-// (multi-domain sampling is boundary-granular, hence quiescent).
+// (the domain engine samples at window boundaries, hence quiescently).
 func (c *Chip) FlightDump() *flight.Dump {
 	if c.flightRec == nil {
 		return nil

@@ -25,15 +25,13 @@ func armBomb(proc *Proc) {
 	})
 }
 
-// TestStallWatchdogSingleDomain pins the watchdog contract on the
-// serial engine: an injected non-advancing event storm fails the run
+// TestStallWatchdogSingleDomain pins the watchdog contract on a
+// one-domain chip: an injected non-advancing event storm fails the run
 // with a stall diagnostic (instead of hanging), leaves a KStall record
 // in the rings, and the failed run dumps a post-mortem to the flight
 // sink.
 func TestStallWatchdogSingleDomain(t *testing.T) {
-	opts := DefaultOptions()
-	opts.StallEvents = 5000
-	chip := New(opts)
+	chip := New(DefaultOptions())
 	chip.EnableFlight(256)
 	var sink bytes.Buffer
 	chip.SetFlightSink(&sink)
@@ -69,7 +67,6 @@ func TestStallWatchdogSingleDomain(t *testing.T) {
 // diagnostic instead of deadlocking.
 func TestStallWatchdogParallelDomains(t *testing.T) {
 	opts := DefaultOptions()
-	opts.StallEvents = 5000
 	opts.ParallelDomains = 2
 	chip := New(opts)
 	chip.EnableFlight(256)
@@ -168,5 +165,76 @@ func TestDomainStatsAndBarrierAccounting(t *testing.T) {
 	// must have seen barrier slack.
 	if ds[0].BarrierWait == 0 && ds[1].BarrierWait == 0 {
 		t.Error("no barrier slack recorded across either domain")
+	}
+}
+
+// TestMidRunComposeStartsAtWindowBoundary pins the recomposition
+// latency every engine mode charges: a processor that an OnProcHalt hook
+// composes mid-run begins fetching at the boundary closing the window
+// the halt executed in.  The start cycle is read back from the KCompose
+// record domain placement writes.  The chip forms one domain, or two
+// with an unrelated processor running beside the halting one, under the
+// serial and the parallel scheduler.
+func TestMidRunComposeStartsAtWindowBoundary(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		domains int
+		par     int
+	}{
+		{"one-domain", 1, 1},
+		{"two-domains/par=1", 2, 1},
+		{"two-domains/par=2", 2, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := DefaultOptions()
+			opts.ParallelDomains = tc.par
+			chip := New(opts)
+			chip.EnableFlight(1 << 14)
+			p := sumProgram(t)
+			first, err := chip.AddProc(compose.MustRect(0, 0, 2), p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			first.Regs[1] = 50
+			if tc.domains == 2 {
+				other, err := chip.AddProc(compose.MustRect(2, 0, 2), p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				other.Regs[1] = 200
+			}
+			var haltNow uint64
+			var next *Proc
+			var hookErr error
+			chip.OnProcHalt(func(h *Proc) {
+				if h != first {
+					return
+				}
+				haltNow = chip.Now()
+				next, hookErr = chip.AddProc(compose.MustRect(0, 0, 2), p)
+			})
+			if err := chip.Run(1_000_000); err != nil {
+				t.Fatal(err)
+			}
+			if hookErr != nil || next == nil {
+				t.Fatalf("hook failed to compose a processor: %v", hookErr)
+			}
+			if got := len(chip.DomainStats()); got != tc.domains {
+				t.Fatalf("chip formed %d domains, want %d", got, tc.domains)
+			}
+			want := (haltNow/domainWindow + 1) * domainWindow
+			var starts []uint64
+			for _, r := range chip.FlightDump().Records(flight.KCompose) {
+				if r.Proc == int16(next.id) {
+					starts = append(starts, r.Cycle)
+				}
+			}
+			if len(starts) != 1 || starts[0] != want {
+				t.Fatalf("processor composed at halt cycle %d started at %v, want [%d] (the next window boundary)", haltNow, starts, want)
+			}
+			if !next.halted || next.Stats.Cycles <= want {
+				t.Fatalf("composed processor did not run after its start: halted=%t cycles=%d", next.halted, next.Stats.Cycles)
+			}
+		})
 	}
 }

@@ -51,29 +51,8 @@ type Options struct {
 	// keep every domain on the caller's goroutine; results are
 	// bit-identical for any value and any GOMAXPROCS, so the knob trades
 	// wall-clock speed only.  It has no effect under Reference or when
-	// the chip forms a single domain.
+	// the chip forms a single domain as Run starts.
 	ParallelDomains int
-
-	// DomainWindow is the lockstep window width W in cycles for
-	// multi-domain runs: domains advance independently inside [kW,
-	// (k+1)W) and synchronize at every boundary, where deferred
-	// cross-domain coherence traffic (L2 eviction invalidations) is
-	// applied and newly composed processors begin fetching.  W is a
-	// model parameter — it must be identical across ParallelDomains
-	// settings for runs to compare — and defaults to 16 cycles,
-	// approximating the banked-L2 round trip an invalidate needs to
-	// reach a remote core (L2 hit latency spans 5..27 cycles).
-	// Values < 1 mean the default.
-	DomainWindow uint64
-
-	// StallEvents is the stall-watchdog budget: the maximum number of
-	// events one domain may execute without its lockstep window (or, in
-	// single-domain runs, the current cycle) advancing before the run
-	// fails with a diagnostic instead of hanging.  The watchdog counts
-	// events, not wall time, so it is deterministic like everything
-	// else in the engine.  Values < 1 mean the default (1<<20 events —
-	// orders of magnitude above what any legal window can execute).
-	StallEvents uint64
 
 	// Reference disables the engine's hot-path optimizations — the
 	// container/heap event queue replaces the calendar queue, in-flight
@@ -89,27 +68,6 @@ func DefaultOptions() Options {
 		Params:          compose.DefaultCoreParams(),
 		NACKRetryCycles: 8,
 	}
-}
-
-// defaultDomainWindow is the default lockstep window width (cycles).
-const defaultDomainWindow = 16
-
-// defaultStallEvents is the default stall-watchdog budget (events per
-// window without progress).
-const defaultStallEvents = 1 << 20
-
-func (o *Options) stallEvents() uint64 {
-	if o.StallEvents >= 1 {
-		return o.StallEvents
-	}
-	return defaultStallEvents
-}
-
-func (o *Options) domainWindow() uint64 {
-	if o.DomainWindow >= 1 {
-		return o.DomainWindow
-	}
-	return defaultDomainWindow
 }
 
 func (o *Options) windowPerCore() int {

@@ -12,9 +12,9 @@ import (
 //
 // Equivalence to runMerged (the ordering contract):
 //
-//   - Window schedule: the leader (last worker to quiesce) runs the
-//     identical boundary/limit computation as runMerged, so both modes
-//     see the same window sequence, the same boundary work and the same
+//   - Window schedule: the leader (last worker to quiesce) takes the
+//     same nextWindow step as runMerged, so both modes see the same
+//     window sequence, the same boundary work and the same
 //     deferred-invalidation delivery cycles.
 //   - Shared-state order: all shared L2/DRAM-side accesses park on the
 //     arbiter, which grants strictly in (event cycle, domain ID) order
@@ -187,9 +187,6 @@ func (pr *parRun) tryAdvance() {
 		}
 		pr.servicing = d
 		pr.c.curDom = d
-		if d.now > pr.c.now {
-			pr.c.now = d.now
-		}
 		d.granted = true
 		pr.cond.Broadcast()
 		return
@@ -198,38 +195,23 @@ func (pr *parRun) tryAdvance() {
 }
 
 // openWindow runs the boundary and opens the next window, or finishes
-// the run.  Monitor held, every worker quiescent — the same code path
-// runMerged runs between windows.
+// the run.  Monitor held, every worker quiescent — the same nextWindow
+// step runMerged takes between windows; domains formed at the boundary
+// get their workers before the window opens.
 func (pr *parRun) openWindow() {
 	c := pr.c
-	c.syncNow()
-	c.collectErrors()
-	if c.err != nil {
-		pr.finish()
-		return
-	}
-	if pr.gen > 0 { // a window just completed
-		c.windowBoundary(pr.limit)
-		for _, d := range c.domains {
-			if !d.spawned {
-				pr.bindWorker(d)
-			}
-		}
-		pr.n = len(c.domains) // merged-away domains retire
-	}
-	m, ok := c.minNextAt()
+	limit, ok := c.nextWindow(pr.limit, pr.maxCycles)
 	if !ok {
-		c.takeBoundarySamples(c.now)
 		pr.finish()
 		return
 	}
-	c.takeBoundarySamples(m)
-	if m > pr.maxCycles {
-		c.err = c.exceededErr(pr.maxCycles)
-		pr.finish()
-		return
+	for _, d := range c.domains {
+		if !d.spawned {
+			pr.bindWorker(d)
+		}
 	}
-	pr.limit = c.windowLimitFor(m, pr.maxCycles)
+	pr.n = len(c.domains) // merged-away domains retire
+	pr.limit = limit
 	pr.gen++
 	pr.arrived = 0
 	pr.cond.Broadcast()

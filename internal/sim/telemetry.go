@@ -73,12 +73,18 @@ func (c *Chip) SampleEvery(interval uint64) *telemetry.Sampler {
 	return c.sampler
 }
 
-// takeSamples records rows for every due sample point.  Run calls it at
-// most once per popped event, so sample cycles land on exact interval
-// multiples even when event time jumps over several of them.
-func (c *Chip) takeSamples() {
+// takeSamples records the rows due at or before cycle m.  The reference
+// loop calls it with the cycle of the event about to run, so a row at
+// cycle s reflects every event before s.  The domain engine calls it at
+// window boundaries with the next event's cycle, so a row reflects every
+// event before the boundary that emitted it — the same rows at
+// intervals that are multiples of the window width.
+func (c *Chip) takeSamples(m uint64) {
+	if c.sampler == nil {
+		return
+	}
 	iv := c.sampler.Interval()
-	for c.sampleAt <= c.now {
+	for c.sampleAt <= m {
 		c.sampler.Sample(c.sampleAt)
 		c.sampleAt += iv
 	}

@@ -8,8 +8,8 @@ import (
 // Sampler records a cycle-indexed time series of tracked gauges.  The
 // chip arms it with an interval; the event loop calls Sample whenever
 // simulated time crosses the next sample point (a single uint64 compare
-// per event when armed, nothing when the chip's sample cycle is left at
-// its +inf default).
+// per event or window boundary when armed, nothing when the chip's
+// sample cycle is left at its +inf default).
 //
 // The sampler is single-writer by design — it belongs to one chip and is
 // only advanced from that chip's event loop.
